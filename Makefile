@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race check check-faults check-recovery check-chaos check-sharded check-scale check-perf check-plansvc check-cluster check-store bench bench-json bench-plan-json bench-cluster-json bench-store-json
+.PHONY: build vet test race check check-plan check-faults check-recovery check-chaos check-sharded check-scale check-perf check-plansvc check-cluster check-store bench bench-json bench-plan-json bench-cluster-json bench-store-json
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,15 @@ test:
 # not license for slower tests.
 race:
 	$(GO) test -race -timeout 30m ./...
+
+# check-plan is the planner gate: the LP, MILP and partition suites —
+# the random LPs held to vertex enumeration with warm re-solves, the
+# node/pivot budgets, and the sweep that must repeat its partition,
+# nodes and pivots at every parallelism level — uncached under the race
+# detector. No solver budget reads the clock, so the race detector's
+# slowdown must not change a single plan.
+check-plan:
+	$(GO) test -race -count=1 ./internal/lp/ ./internal/milp/ ./internal/partition/
 
 # check-faults is the fault-matrix smoke test: every fault class (link
 # degradation, straggler, transient retries, memory pressure), alone and
@@ -114,8 +123,9 @@ check-store:
 # concurrent, so plain `go test` alone is not enough), and survive the
 # fault matrix, the recovery matrix, the chaos matrix, the sharded
 # scheduler's race-clean differential suite, the scale gate, the
-# performance smoke gate, and the multi-tenant fleet gate.
-check: build vet race check-faults check-recovery check-chaos check-sharded check-scale check-perf check-plansvc check-cluster check-store
+# performance smoke gate, the multi-tenant fleet gate, and the planner's
+# determinism gate.
+check: build vet race check-plan check-faults check-recovery check-chaos check-sharded check-scale check-perf check-plansvc check-cluster check-store
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem ./internal/sim/ ./internal/mapping/ ./internal/partition/

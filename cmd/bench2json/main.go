@@ -26,6 +26,9 @@ type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
+	// Metrics holds the benchmark's own b.ReportMetric values by unit,
+	// e.g. "pivots/op".
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Speedup is a derived ratio between two sub-benchmarks of the same
@@ -165,8 +168,10 @@ func deriveScaling(benchmarks []Result) []Scaling {
 // benchLine matches e.g.
 //
 //	BenchmarkSimContention/flows=256/incremental-8  472  2541625 ns/op  701360 B/op  7603 allocs/op
+//
+// with any further "value unit" pairs (b.ReportMetric) after ns/op.
 var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
+	`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op((?:\s+[\d.]+ \S+)*)`)
 
 func parse(r io.Reader) (Document, error) {
 	var doc Document
@@ -192,11 +197,19 @@ func parse(r io.Reader) (Document, error) {
 		iters, _ := strconv.ParseInt(m[2], 10, 64)
 		ns, _ := strconv.ParseFloat(m[3], 64)
 		res := Result{Name: m[1], Package: pkg, Iterations: iters, NsPerOp: ns}
-		if m[4] != "" {
-			res.BytesPerOp, _ = strconv.ParseInt(m[4], 10, 64)
-		}
-		if m[5] != "" {
-			res.AllocsPerOp, _ = strconv.ParseInt(m[5], 10, 64)
+		f := strings.Fields(m[4])
+		for i := 0; i+1 < len(f); i += 2 {
+			switch f[i+1] {
+			case "B/op":
+				res.BytesPerOp, _ = strconv.ParseInt(f[i], 10, 64)
+			case "allocs/op":
+				res.AllocsPerOp, _ = strconv.ParseInt(f[i], 10, 64)
+			default:
+				if res.Metrics == nil {
+					res.Metrics = map[string]float64{}
+				}
+				res.Metrics[f[i+1]], _ = strconv.ParseFloat(f[i], 64)
+			}
 		}
 		doc.Benchmarks = append(doc.Benchmarks, res)
 	}

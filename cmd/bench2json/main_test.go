@@ -40,6 +40,24 @@ func TestParse(t *testing.T) {
 	}
 }
 
+func TestParseReportedMetrics(t *testing.T) {
+	const line = "BenchmarkMIPPartitionSweep-2   	       2	1003443400 ns/op	         7.000 nodes/op	      2944 pivots/op	 5142192 B/op	    2339 allocs/op\n"
+	doc, err := parse(strings.NewReader(line))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Benchmarks) != 1 {
+		t.Fatalf("parsed %d benchmarks, want 1", len(doc.Benchmarks))
+	}
+	b := doc.Benchmarks[0]
+	if b.NsPerOp != 1003443400 || b.BytesPerOp != 5142192 || b.AllocsPerOp != 2339 {
+		t.Errorf("parsed as %+v", b)
+	}
+	if b.Metrics["nodes/op"] != 7 || b.Metrics["pivots/op"] != 2944 || len(b.Metrics) != 2 {
+		t.Errorf("metrics = %v", b.Metrics)
+	}
+}
+
 func TestDeriveSpeedups(t *testing.T) {
 	doc, err := parse(strings.NewReader(sampleOutput))
 	if err != nil {

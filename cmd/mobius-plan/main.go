@@ -155,8 +155,8 @@ func main() {
 	fmt.Printf("profile:   %d layers, %d similarity groups, cost %.2fs\n",
 		plan.Profile.NumLayers(), plan.Profile.GroupsProfiled, plan.Profile.Cost)
 	if plan.MIPStats != nil {
-		fmt.Printf("MIP:       tried S=%v, %d nodes, %v solve time\n",
-			plan.MIPStats.TriedStageCounts, plan.MIPStats.Nodes, plan.MIPStats.SolveTime.Round(1e6))
+		fmt.Printf("MIP:       tried S=%v, %d nodes, %d pivots, %v solve time\n",
+			plan.MIPStats.TriedStageCounts, plan.MIPStats.Nodes, plan.MIPStats.Pivots, plan.MIPStats.SolveTime.Round(1e6))
 	}
 	fmt.Printf("partition: %d stages (%s)\n", plan.Partition.NumStages(), plan.Partition.Algorithm)
 	for j, s := range plan.Partition.Stages {

@@ -129,7 +129,7 @@ func Figure12() (*Table, error) {
 	topo := hw.Commodity(hw.RTX3090Ti, 1, 3)
 	t := &Table{
 		Title:  "Figure 12: Mobius planning overhead (Topo 1+3)",
-		Header: []string{"model", "profiling (s)", "MIP solve (s)", "cross map (s)", "stages", "B&B nodes"},
+		Header: []string{"model", "profiling (s)", "MIP solve (s)", "cross map (s)", "stages", "B&B nodes", "pivots"},
 	}
 	for _, m := range []model.Config{model.GPT8B, model.GPT15B, model.GPT51B} {
 		prof, err := profile.Run(m, hw.RTX3090Ti, profile.Options{})
@@ -156,7 +156,8 @@ func Figure12() (*Table, error) {
 			fmt.Sprintf("%.2f", stats.SolveTime.Seconds()),
 			fmt.Sprintf("%.4f", mapTime.Seconds()),
 			fmt.Sprintf("%d", part.NumStages()),
-			fmt.Sprintf("%d", stats.Nodes))
+			fmt.Sprintf("%d", stats.Nodes),
+			fmt.Sprintf("%d", stats.Pivots))
 	}
 	t.Note("paper: overheads are negligible against fine-tuning runs of hours to days;")
 	t.Note("8B and 15B profile in similar time thanks to layer similarity")

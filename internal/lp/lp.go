@@ -1,4 +1,4 @@
-// Package lp implements a dense two-phase primal simplex solver for
+// Package lp implements a bounded-variable dual simplex solver for
 // linear programs in the form
 //
 //	minimize    c·x
@@ -9,9 +9,20 @@
 // together replace the Gurobi Optimizer the paper uses to solve the MIP
 // partition problem (§3.2).
 //
-// The implementation is a textbook tableau simplex with Dantzig pricing,
-// a Bland's-rule fallback to escape degenerate cycling, and a two-phase
-// start (artificial variables) for infeasible initial bases.
+// Every row gets one slack column (LE in [0,∞), GE in (−∞,0], EQ fixed
+// at 0), so the slack basis is a starting basis for any problem. Bounds
+// stay implicit: a nonbasic column sits at its lower or upper bound, and
+// there are no artificial columns, bound rows or phase 1. The solver
+// keeps a dense tableau over the nonbasic columns only (basic columns are
+// unit vectors and are not stored); a pivot touches only the rows with a
+// nonzero in the entering column. Rows are priced by dual steepest edge
+// and entering columns picked by a Harris two-pass ratio test. Because
+// reduced costs depend only on the basis, an optimal basis stays dual
+// feasible when bounds change, which is what branch and bound does: a
+// Solver re-optimizes a child from its parent's Basis with a few dual
+// pivots. A start that is not dual feasible (a negative cost on a column
+// with no upper bound) boxes that column at an artificial bound, widened
+// until the optimum leaves it or the problem shows itself unbounded.
 package lp
 
 import (
@@ -140,6 +151,25 @@ func (p *Problem) Bounds(i int) (lo, hi float64) { return p.lower[i], p.upper[i]
 // NumConstraints returns the number of explicit constraints.
 func (p *Problem) NumConstraints() int { return len(p.constraints) }
 
+// Constraint returns constraint i as added (duplicate terms unsummed).
+// The terms are shared with the problem and must not be modified.
+func (p *Problem) Constraint(i int) (terms []Term, rel Rel, rhs float64) {
+	c := p.constraints[i]
+	return c.terms, c.rel, c.rhs
+}
+
+// Satisfied reports whether x meets constraint i to within a relative
+// 1e-9 of its right-hand side.
+func (p *Problem) Satisfied(i int, x []float64) bool {
+	c := p.constraints[i]
+	var lhs float64
+	for _, t := range c.terms {
+		lhs += t.Coeff * x[t.Var]
+	}
+	tol := 1e-9 * (1 + math.Abs(c.rhs))
+	return (c.rel == GE || lhs <= c.rhs+tol) && (c.rel == LE || lhs >= c.rhs-tol)
+}
+
 // Clone returns an independent copy of the problem (constraint rows are
 // shared: they are immutable after AddConstraint).
 func (p *Problem) Clone() *Problem {
@@ -154,20 +184,6 @@ func (p *Problem) Clone() *Problem {
 	return q
 }
 
-// CloneInto copies p into dst, reusing dst's backing slices where their
-// capacity allows (constraint rows are shared, as in Clone). It returns
-// dst. Callers that clone once per branch-and-bound node use this with a
-// per-worker scratch Problem to avoid four allocations per node.
-func (p *Problem) CloneInto(dst *Problem) *Problem {
-	dst.n = p.n
-	dst.objective = append(dst.objective[:0], p.objective...)
-	dst.constraints = append(dst.constraints[:0], p.constraints...)
-	dst.lower = append(dst.lower[:0], p.lower...)
-	dst.upper = append(dst.upper[:0], p.upper...)
-	dst.buildErr = p.buildErr
-	return dst
-}
-
 // Solution is the result of a solve.
 type Solution struct {
 	Status    Status
@@ -175,77 +191,22 @@ type Solution struct {
 	Objective float64
 }
 
-const (
-	eps      = 1e-9
-	pivotEps = 1e-8
-)
-
 // ErrBadProblem reports a structurally invalid problem.
 var ErrBadProblem = errors.New("lp: invalid problem")
 
-// Scratch is reusable solver working memory: the dense tableau, the row
-// workspace, and the sign-flip term arena. A Scratch may serve any
-// number of sequential SolveWith calls (it grows to the largest problem
-// seen) but must not be shared by concurrent solves — pool one per
-// worker goroutine.
-type Scratch struct {
-	a      []float64
-	obj    []float64
-	basis  []int
-	banned []bool
-	rows   []rowSpec
-	terms  []Term
-}
-
-// Solve runs the two-phase simplex and returns a solution. The Status
-// field distinguishes optimal, infeasible and unbounded outcomes; Solve
-// returns a non-nil error only for structurally invalid input.
+// Solve runs the dual simplex from the slack basis and returns a
+// solution. The Status field distinguishes optimal, infeasible and
+// unbounded outcomes; Solve returns a non-nil error only for
+// structurally invalid input.
 func (p *Problem) Solve() (*Solution, error) {
-	return p.SolveWith(nil)
-}
-
-// SolveWith is Solve with caller-owned scratch memory: the tableau and
-// row workspace come from sc (grown as needed) instead of fresh
-// allocations, removing the dominant allocation from hot
-// branch-and-bound loops. A nil sc behaves exactly like Solve.
-func (p *Problem) SolveWith(sc *Scratch) (*Solution, error) {
-	if p.buildErr != nil {
-		return nil, p.buildErr
+	var s Solver
+	if err := s.Load(p); err != nil {
+		return nil, err
 	}
-	for _, c := range p.constraints {
-		for _, t := range c.terms {
-			if t.Var < 0 || t.Var >= p.n {
-				return nil, fmt.Errorf("%w: term references variable %d of %d", ErrBadProblem, t.Var, p.n)
-			}
-		}
-	}
-	for i := 0; i < p.n; i++ {
-		if p.lower[i] > p.upper[i]+eps {
-			return &Solution{Status: Infeasible}, nil
-		}
-	}
-
-	if sc == nil {
-		sc = &Scratch{}
-	}
-	t := newTableau(p, sc)
-	st := t.phase1()
-	if st != Optimal {
-		return &Solution{Status: st}, nil
-	}
-	st = t.phase2()
-	sol := &Solution{Status: st}
-	if st == Optimal || st == IterLimit {
-		sol.X = t.extract()
-		sol.Objective = dot(p.objective, sol.X)
+	sol := &Solution{Status: s.Solve(0)}
+	if sol.Status == Optimal {
+		sol.X = s.X()
+		sol.Objective = s.Objective()
 	}
 	return sol, nil
-}
-
-func dot(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
 }

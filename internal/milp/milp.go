@@ -7,18 +7,21 @@ package milp
 
 import (
 	"container/heap"
+	"encoding/binary"
 	"math"
-	"time"
+	"slices"
 
 	"mobius/internal/lp"
 )
 
-// Options bound the search effort.
+// Options bound the search effort. Every bound counts work, not time, so
+// a solve's result does not depend on machine speed.
 type Options struct {
 	// MaxNodes caps the number of branch-and-bound nodes (default 5000).
 	MaxNodes int
-	// TimeLimit caps wall-clock solve time (default 10s).
-	TimeLimit time.Duration
+	// MaxPivots caps the simplex pivots of the whole search, basis
+	// installs included (default 200,000).
+	MaxPivots int
 	// IntTol is the integrality tolerance (default 1e-6).
 	IntTol float64
 	// Incumbent seeds the upper bound with a known feasible objective so
@@ -34,24 +37,21 @@ type Options struct {
 	GapTol float64
 	// Cancel, when non-nil, is polled between branch-and-bound nodes;
 	// returning true abandons the search early (the result is then
-	// best-effort, as if a node or time limit had been hit). It lets a
-	// caller running several solves concurrently stop work whose outcome
-	// it already knows it will discard.
+	// best-effort, as if a node limit had been hit). It lets a caller
+	// running several solves concurrently stop work whose outcome it
+	// already knows it will discard.
 	Cancel func() bool
-	// Scratch, when non-nil, supplies pooled working memory for the
-	// per-node LP clone and simplex tableau. One scratch serves one
-	// worker goroutine across any number of Solve calls; concurrent
-	// sharing is not safe.
+	// Scratch, when non-nil, supplies the pooled simplex solver. One
+	// scratch serves one worker goroutine across any number of Solve
+	// calls; concurrent sharing is not safe.
 	Scratch *Scratch
 }
 
-// Scratch pools the branch-and-bound working memory: the LP problem
-// clone mutated per node and the simplex solver's tableau. Reuse across
-// sequential Solve calls is safe and removes the dominant allocations of
-// the search; concurrent sharing is not safe.
+// Scratch pools the branch-and-bound working memory: one simplex solver
+// whose tableau every node of every search re-optimizes in place. Reuse
+// across sequential Solve calls is safe; concurrent sharing is not.
 type Scratch struct {
-	lp   lp.Scratch
-	prob lp.Problem
+	lp lp.Solver
 }
 
 // NewScratch returns an empty scratch that grows to the largest problem
@@ -62,8 +62,8 @@ func (o Options) withDefaults() Options {
 	if o.MaxNodes <= 0 {
 		o.MaxNodes = 5000
 	}
-	if o.TimeLimit <= 0 {
-		o.TimeLimit = 10 * time.Second
+	if o.MaxPivots <= 0 {
+		o.MaxPivots = 200_000
 	}
 	if o.IntTol <= 0 {
 		o.IntTol = 1e-6
@@ -84,16 +84,27 @@ type Result struct {
 	Objective float64
 	// Nodes is the number of explored branch-and-bound nodes.
 	Nodes int
+	// Pivots is the number of simplex pivots the search took.
+	Pivots int
 	// Proven is true when the search space was exhausted, certifying
 	// optimality of X.
 	Proven bool
 }
 
+// fix is one branching bound on an integer variable. A node's fixes are
+// the chain from its own fix up to the root's (nil).
+type fix struct {
+	v      int
+	lo, hi float64
+	up     *fix
+}
+
 type node struct {
-	bound  float64            // LP relaxation objective (lower bound)
-	fixes  map[int][2]float64 // variable bound overrides
-	branch int                // variable chosen for branching, -1 if none
-	frac   float64            // fractional value of branch variable
+	bound  float64   // LP relaxation objective (lower bound)
+	fixes  *fix      // branching bounds leading to this node
+	basis  *lp.Basis // optimal basis of the node's relaxation
+	branch int       // variable chosen for branching
+	frac   float64   // fractional value of branch variable
 }
 
 type nodeHeap []*node
@@ -105,10 +116,11 @@ func (h *nodeHeap) Push(x any)        { *h = append(*h, x.(*node)) }
 func (h *nodeHeap) Pop() any          { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
 
 // Solve minimizes p subject to the variables in intVars taking integer
-// values.
+// values. The root relaxation is solved from the slack basis; each child
+// and each rounding probe re-optimizes with dual simplex from the basis
+// of the node it came from, on the scratch's one tableau.
 func Solve(p *lp.Problem, intVars []int, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
-	deadline := time.Now().Add(opts.TimeLimit)
 
 	res := &Result{Status: lp.IterLimit, Objective: opts.Incumbent}
 	var bestX []float64
@@ -117,19 +129,29 @@ func Solve(p *lp.Problem, intVars []int, opts Options) (*Result, error) {
 	if sc == nil {
 		sc = NewScratch()
 	}
-	relax := func(fixes map[int][2]float64) (*lp.Solution, error) {
-		q := p.CloneInto(&sc.prob)
-		for v, b := range fixes {
-			lo, hi := q.Bounds(v)
-			if b[0] > lo {
-				lo = b[0]
-			}
-			if b[1] < hi {
-				hi = b[1]
-			}
-			q.SetBounds(v, lo, hi)
+	s := &sc.lp
+	if err := s.Load(p); err != nil {
+		return nil, err
+	}
+	rootLo := make([]float64, len(intVars))
+	rootHi := make([]float64, len(intVars))
+	for k, v := range intVars {
+		rootLo[k], rootHi[k] = p.Bounds(v)
+	}
+
+	// exhausted turns false when a budget cuts the search short.
+	exhausted := true
+	// relax re-optimizes under the root bounds narrowed by fixes, from
+	// basis when non-nil and from the tableau's current basis otherwise.
+	relax := func(fixes *fix, basis *lp.Basis) lp.Status {
+		for k, v := range intVars {
+			s.SetBounds(v, rootLo[k], rootHi[k])
 		}
-		return q.SolveWith(&sc.lp)
+		for f := fixes; f != nil; f = f.up {
+			lo, hi := s.Bounds(f.v)
+			s.SetBounds(f.v, math.Max(lo, f.lo), math.Min(hi, f.hi))
+		}
+		return solveLP(s, basis, res, opts, &exhausted)
 	}
 
 	// fractional returns the integer variable furthest from integrality.
@@ -146,61 +168,69 @@ func Solve(p *lp.Problem, intVars []int, opts Options) (*Result, error) {
 		return best, bestVal
 	}
 
-	// tryRound fixes every integer variable at the rounding of x and
-	// re-solves; a feasible result becomes an incumbent.
-	tryRound := func(x []float64, fixes map[int][2]float64) {
-		rf := map[int][2]float64{}
-		for v, b := range fixes {
-			rf[v] = b
+	// Rows over integer variables alone decide a rounding's feasibility
+	// before any pivot, and a rounding already probed cannot improve the
+	// incumbent again: neither costs a re-solve.
+	var intRows []int
+	isInt := make([]bool, p.NumVars())
+	for _, v := range intVars {
+		isInt[v] = true
+	}
+	for i := 0; i < p.NumConstraints(); i++ {
+		terms, _, _ := p.Constraint(i)
+		if !slices.ContainsFunc(terms, func(t lp.Term) bool { return !isInt[t.Var] }) {
+			intRows = append(intRows, i)
 		}
-		feasibleRound := true
+	}
+	probed := map[string]bool{}
+	rounded := make([]float64, p.NumVars())
+	var key []byte
+
+	// tryRound fixes every integer variable at the rounding of x within
+	// the current node's bounds and re-solves from the node's basis,
+	// which the tableau still holds; a feasible result becomes an
+	// incumbent.
+	tryRound := func(x []float64) {
+		key = key[:0]
 		for _, v := range intVars {
 			r := math.Round(x[v])
-			lo, hi := p.Bounds(v)
-			if b, ok := rf[v]; ok {
-				if b[0] > lo {
-					lo = b[0]
-				}
-				if b[1] < hi {
-					hi = b[1]
-				}
+			if lo, hi := s.Bounds(v); r < lo-opts.IntTol || r > hi+opts.IntTol {
+				return
 			}
-			if r < lo-opts.IntTol || r > hi+opts.IntTol {
-				feasibleRound = false
-				break
-			}
-			rf[v] = [2]float64{r, r}
+			rounded[v] = r
+			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(r))
 		}
-		if !feasibleRound {
+		for _, i := range intRows {
+			if !p.Satisfied(i, rounded) {
+				return
+			}
+		}
+		if probed[string(key)] {
 			return
 		}
-		sol, err := relax(rf)
-		if err != nil || sol.Status != lp.Optimal {
+		probed[string(key)] = true
+		for _, v := range intVars {
+			s.SetBounds(v, rounded[v], rounded[v])
+		}
+		if solveLP(s, nil, res, opts, &exhausted) != lp.Optimal {
 			return
 		}
-		if sol.Objective < res.Objective-1e-9 {
-			res.Objective = sol.Objective
-			bestX = sol.X
+		if obj := s.Objective(); obj < res.Objective-1e-9 {
+			res.Objective = obj
+			bestX = s.X()
 			res.Status = lp.Optimal
 		}
 	}
 
-	root, err := relax(nil)
-	if err != nil {
-		return nil, err
-	}
-	switch root.Status {
-	case lp.Infeasible:
-		return &Result{Status: lp.Infeasible, Proven: true}, nil
-	case lp.Unbounded:
-		return &Result{Status: lp.Unbounded}, nil
-	}
-
 	open := &nodeHeap{}
-	pushNode := func(bound float64, fixes map[int][2]float64, x []float64) {
+	// expand records the optimal relaxation the tableau holds for the
+	// node with the given fixes: an integral one is a direct incumbent,
+	// a fractional one is probed by rounding and queued for branching.
+	expand := func(fixes *fix) {
+		bound := s.Objective()
+		x := s.X()
 		v, val := fractional(x)
 		if v < 0 {
-			// Integral LP solution: direct incumbent.
 			if bound < res.Objective-1e-9 {
 				res.Objective = bound
 				bestX = x
@@ -208,19 +238,22 @@ func Solve(p *lp.Problem, intVars []int, opts Options) (*Result, error) {
 			}
 			return
 		}
-		heap.Push(open, &node{bound: bound, fixes: fixes, branch: v, frac: val})
+		basis := s.Basis()
+		tryRound(x)
+		heap.Push(open, &node{bound: bound, fixes: fixes, basis: basis, branch: v, frac: val})
 	}
 
-	tryRound(root.X, nil)
-	pushNode(root.Objective, map[int][2]float64{}, root.X)
+	switch relax(nil, nil) {
+	case lp.Optimal:
+		expand(nil)
+	case lp.Infeasible:
+		return &Result{Status: lp.Infeasible, Pivots: res.Pivots, Proven: true}, nil
+	case lp.Unbounded:
+		return &Result{Status: lp.Unbounded, Pivots: res.Pivots}, nil
+	}
 
-	exhausted := true
 	for open.Len() > 0 {
-		if res.Nodes >= opts.MaxNodes || time.Now().After(deadline) {
-			exhausted = false
-			break
-		}
-		if opts.Cancel != nil && opts.Cancel() {
+		if res.Nodes >= opts.MaxNodes || res.Pivots >= opts.MaxPivots || (opts.Cancel != nil && opts.Cancel()) {
 			exhausted = false
 			break
 		}
@@ -234,36 +267,19 @@ func Solve(p *lp.Problem, intVars []int, opts Options) (*Result, error) {
 		}
 		res.Nodes++
 
-		lo, hi := math.Inf(-1), math.Floor(nd.frac)
-		for side := 0; side < 2; side++ {
-			fixes := map[int][2]float64{}
-			for k, v := range nd.fixes {
-				fixes[k] = v
+		children := [2]*fix{
+			{v: nd.branch, lo: math.Inf(-1), hi: math.Floor(nd.frac), up: nd.fixes},
+			{v: nd.branch, lo: math.Ceil(nd.frac), hi: math.Inf(1), up: nd.fixes},
+		}
+		// Solve the child the fractional value leans toward last: it is
+		// the likelier next pop, and the tableau then already holds it.
+		if nd.frac-math.Floor(nd.frac) < 0.5 {
+			children[0], children[1] = children[1], children[0]
+		}
+		for _, child := range children {
+			if relax(child, nd.basis) == lp.Optimal && s.Objective() < res.Objective-1e-9 {
+				expand(child)
 			}
-			prev, ok := fixes[nd.branch]
-			if !ok {
-				prev = [2]float64{math.Inf(-1), math.Inf(1)}
-			}
-			nlo, nhi := prev[0], prev[1]
-			if lo > nlo {
-				nlo = lo
-			}
-			if hi < nhi {
-				nhi = hi
-			}
-			fixes[nd.branch] = [2]float64{nlo, nhi}
-
-			sol, err := relax(fixes)
-			if err != nil {
-				return nil, err
-			}
-			if sol.Status == lp.Optimal && sol.Objective < res.Objective-1e-9 {
-				tryRound(sol.X, fixes)
-				pushNode(sol.Objective, fixes, sol.X)
-			}
-
-			// Second side: x >= ceil(frac).
-			lo, hi = math.Ceil(nd.frac), math.Inf(1)
 		}
 	}
 
@@ -273,7 +289,31 @@ func Solve(p *lp.Problem, intVars []int, opts Options) (*Result, error) {
 		return res, nil
 	}
 	if exhausted {
-		return &Result{Status: lp.Infeasible, Nodes: res.Nodes, Proven: true}, nil
+		return &Result{Status: lp.Infeasible, Nodes: res.Nodes, Pivots: res.Pivots, Proven: true}, nil
 	}
 	return res, nil
+}
+
+// solveLP re-optimizes s (from basis when non-nil) within what is left
+// of the search's pivot budget, charging the pivots to res; only a basis
+// install can overrun the budget, by at most one pivot per row. A
+// relaxation cut short leaves the search inexhaustive.
+func solveLP(s *lp.Solver, basis *lp.Basis, res *Result, opts Options, exhausted *bool) lp.Status {
+	if res.Pivots >= opts.MaxPivots {
+		*exhausted = false
+		return lp.IterLimit
+	}
+	before := s.Pivots()
+	if basis != nil {
+		s.SetBasis(basis)
+	}
+	st := lp.IterLimit
+	if left := opts.MaxPivots - res.Pivots - (s.Pivots() - before); left > 0 {
+		st = s.Solve(left)
+	}
+	res.Pivots += s.Pivots() - before
+	if st == lp.IterLimit {
+		*exhausted = false
+	}
+	return st
 }

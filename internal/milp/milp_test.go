@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"mobius/internal/lp"
 )
@@ -302,9 +301,11 @@ func TestGapToleranceAcceptsNearOptimal(t *testing.T) {
 	}
 }
 
-func TestTimeLimitHonored(t *testing.T) {
-	// A hard knapsack with a 1ns budget must still return something
-	// sensible (rounding incumbent or IterLimit) and quickly.
+// TestBudgetHonored: a hard knapsack under a tight node or pivot budget
+// still returns something sensible (a rounding incumbent or IterLimit),
+// never certifies optimality it did not prove, stays within the pivot
+// budget up to one basis install, and repeats itself exactly.
+func TestBudgetHonored(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	const n = 16
 	p := lp.NewProblem(n)
@@ -319,15 +320,36 @@ func TestTimeLimitHonored(t *testing.T) {
 	for i := range ints {
 		ints[i] = i
 	}
-	start := time.Now()
-	res, err := Solve(p, ints, Options{TimeLimit: time.Nanosecond})
+	full, err := Solve(p, ints, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatal("time limit ignored")
+	if full.Status != lp.Optimal || !full.Proven || full.Nodes < 2 {
+		t.Fatalf("unbudgeted solve: status=%v proven=%v nodes=%d", full.Status, full.Proven, full.Nodes)
 	}
-	if res.Status == lp.Optimal && res.Proven {
-		t.Log("solved at root before the deadline check; acceptable")
+	for _, o := range []Options{{MaxNodes: 1}, {MaxPivots: 5}, {MaxPivots: full.Pivots / 2}} {
+		res, err := Solve(p, ints, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Proven {
+			t.Errorf("%+v: budgeted solve claims a proof", o)
+		}
+		if o.MaxNodes > 0 && res.Nodes > o.MaxNodes {
+			t.Errorf("%+v: explored %d nodes", o, res.Nodes)
+		}
+		if o.MaxPivots > 0 && res.Pivots > o.MaxPivots+p.NumConstraints() {
+			t.Errorf("%+v: took %d pivots", o, res.Pivots)
+		}
+		if res.Status == lp.Optimal && res.Objective < full.Objective-1e-9 {
+			t.Errorf("%+v: objective %g beats the proven optimum %g", o, res.Objective, full.Objective)
+		}
+		again, err := Solve(p, ints, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.Nodes != res.Nodes || again.Pivots != res.Pivots || again.Objective != res.Objective {
+			t.Errorf("%+v: repeat differs: %+v vs %+v", o, again, res)
+		}
 	}
 }

@@ -3,29 +3,25 @@ package partition
 import (
 	"testing"
 
-	"mobius/internal/hw"
 	"mobius/internal/model"
-	"mobius/internal/profile"
 )
 
-// BenchmarkMIPPartitionSweep measures an uncached sweep of MILP partition
-// solves over candidate stage counts for the 8B model on 4 GPUs.
+// BenchmarkMIPPartitionSweep measures the default uncached sweep of MILP
+// partition solves for the 8B model on a 4+4 commodity server — every
+// candidate stage count up to the default cap, serially — and reports
+// the solver effort per sweep, which is the same on every machine.
 func BenchmarkMIPPartitionSweep(b *testing.B) {
-	prof, err := profile.Run(model.GPT8B, hw.RTX3090Ti, profile.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	params := Params{
-		Profile:   prof,
-		NumGPUs:   4,
-		GPUMem:    hw.RTX3090Ti.MemBytes * 0.92,
-		Bandwidth: 13.1e9,
-	}
+	params := commodityParams(b, model.GPT8B, 4, 4)
+	opts := MIPOptions{DisableCache: true, Parallelism: 1}
+	var st *MIPStats
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := MIP(params, MIPOptions{DisableCache: true, MaxStages: 8}); err != nil {
+		var err error
+		if _, st, err = MIP(params, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(st.Pivots), "pivots/op")
+	b.ReportMetric(float64(st.Nodes), "nodes/op")
 }

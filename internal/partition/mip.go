@@ -31,9 +31,10 @@ type MIPOptions struct {
 	// Patience stops the sweep over S after this many consecutive
 	// non-improving candidates (default 2).
 	Patience int
-	// NodeLimit and TimeLimit bound each MILP solve.
+	// NodeLimit bounds each MILP solve's branch-and-bound nodes. With
+	// milp's default pivot budget it is all that bounds a solve: no limit
+	// reads the clock, so a plan never depends on machine speed.
 	NodeLimit int
-	TimeLimit time.Duration
 	// Parallelism is the number of candidate stage counts solved
 	// concurrently (0 means GOMAXPROCS, 1 means serial). The sweep result
 	// is identical at every level: candidate solves are independent, the
@@ -79,9 +80,6 @@ func (o MIPOptions) withDefaults(blocks int) MIPOptions {
 	if o.NodeLimit <= 0 {
 		o.NodeLimit = 150
 	}
-	if o.TimeLimit <= 0 {
-		o.TimeLimit = 3 * time.Second
-	}
 	return o
 }
 
@@ -97,6 +95,8 @@ type MIPStats struct {
 	TriedStageCounts []int
 	// Nodes is the total branch-and-bound node count across candidates.
 	Nodes int
+	// Pivots is the total simplex pivot count across candidates.
+	Pivots int
 	// SolveTime is the cumulative time spent in the MILP solver, summed
 	// over candidate solves (equals wall-clock when Parallelism is 1).
 	SolveTime time.Duration
@@ -104,8 +104,11 @@ type MIPStats struct {
 	BestStageCount int
 	// StepTime is the modelled step duration of the returned partition.
 	StepTime float64
-	// Proven is true when every explored candidate was solved to
-	// certified optimality.
+	// Proven is true when every replayed candidate's branch and bound ran
+	// to exhaustion, certifying its partition within the MIP gap. It is
+	// false when a candidate stopped on its node or pivot budget, whether
+	// it then kept a MILP incumbent or fell back to the balanced
+	// partition.
 	Proven bool
 	// UsedMinStageFallback is true when the min-stage partition (beyond
 	// MaxStages) beat every MIP candidate — the regime of Figure 9's
@@ -199,7 +202,7 @@ func MIPCtx(ctx context.Context, params Params, opts MIPOptions) (*Partition, *M
 		kopts.Parallelism = 0
 		kopts.Warm = nil
 		key := mipKey{
-			warm: warmFingerprint(opts.Warm),
+			warm:      warmFingerprint(opts.Warm),
 			model:     params.Profile.Model,
 			gpu:       params.Profile.GPU.Name,
 			n:         params.NumGPUs,
@@ -367,10 +370,9 @@ func mipSolve(ctx context.Context, params Params, opts MIPOptions) (*Partition, 
 	}
 
 	type solveRes struct {
-		part  *Partition
-		nodes int
-		dur   time.Duration
-		err   error
+		candidate
+		dur time.Duration
+		err error
 	}
 	results := make([]chan solveRes, len(cands))
 	for i := range results {
@@ -407,16 +409,18 @@ func mipSolve(ctx context.Context, params Params, opts MIPOptions) (*Partition, 
 				start := time.Now()
 				incCold := math.Min(seeds[i].inc, coldBound.load())
 				inc := math.Min(incCold, warmBound)
-				part, nodes, optimal, err := solveOne(params, bs, cands[i], opts, inc, seeds[i].balanced, abort, sc)
-				if err == nil && !optimal && inc < incCold && !abort() {
+				c, err := solveOne(params, bs, cands[i], opts, inc, seeds[i].balanced, abort, sc)
+				if err == nil && !c.optimal && inc < incCold && !abort() {
 					// The warm-tightened bound may have pruned this
 					// candidate's whole search; re-solve with the cold seed
 					// so warm starting never changes the sweep outcome.
-					var n2 int
-					part, n2, _, err = solveOne(params, bs, cands[i], opts, incCold, seeds[i].balanced, abort, sc)
-					nodes += n2
+					var c2 candidate
+					c2, err = solveOne(params, bs, cands[i], opts, incCold, seeds[i].balanced, abort, sc)
+					c2.nodes += c.nodes
+					c2.pivots += c.pivots
+					c = c2
 				}
-				results[i] <- solveRes{part: part, nodes: nodes, dur: time.Since(start), err: err}
+				results[i] <- solveRes{candidate: c, dur: time.Since(start), err: err}
 			}
 		}()
 	}
@@ -447,6 +451,8 @@ func mipSolve(ctx context.Context, params Params, opts MIPOptions) (*Partition, 
 		}
 		stats.SolveTime += r.dur
 		stats.Nodes += r.nodes
+		stats.Pivots += r.pivots
+		stats.Proven = stats.Proven && r.proven
 		stats.TriedStageCounts = append(stats.TriedStageCounts, cands[i])
 		if r.part == nil {
 			continue // infeasible for this S
@@ -505,11 +511,8 @@ func mipSolve(ctx context.Context, params Params, opts MIPOptions) (*Partition, 
 // balanced-heuristic fallback partition are computed by the caller so
 // they can be shared across concurrent solves; cancel is polled by
 // the solver to abandon work whose result the sweep will discard; sc is
-// the calling worker's pooled solver scratch. The optimal result
-// reports whether the MILP itself produced the partition (false means
-// limits were hit and the balanced fallback — possibly nil — stands in,
-// which the caller may retry with a looser incumbent).
-func solveOne(params Params, bs *blockStats, S int, opts MIPOptions, incumbent float64, balanced *Partition, cancel func() bool, sc *milp.Scratch) (part *Partition, nodes int, optimal bool, err error) {
+// the calling worker's pooled solver scratch.
+func solveOne(params Params, bs *blockStats, S int, opts MIPOptions, incumbent float64, balanced *Partition, cancel func() bool, sc *milp.Scratch) (candidate, error) {
 	N := params.NumGPUs
 	M := params.Microbatches
 	G := params.GPUMem * 1e-9    // GB
@@ -567,7 +570,7 @@ func solveOne(params Params, bs *blockStats, S int, opts MIPOptions, incumbent f
 		if hi < lo {
 			// A single block cannot fit: infeasible S, independent of any
 			// incumbent, so the caller must not retry.
-			return nil, 0, true, nil
+			return candidate{optimal: true, proven: true}, nil
 		}
 		p.SetBounds(nVarAt(j), lo, hi)
 	}
@@ -692,7 +695,7 @@ func solveOne(params Params, bs *blockStats, S int, opts MIPOptions, incumbent f
 	for j := 0; j < S; j++ {
 		intVars[j] = j
 	}
-	mopts := milp.Options{MaxNodes: opts.NodeLimit, TimeLimit: opts.TimeLimit, GapTol: mipGapTol, Scratch: sc}
+	mopts := milp.Options{MaxNodes: opts.NodeLimit, GapTol: mipGapTol, Scratch: sc}
 	if !math.IsInf(incumbent, 1) {
 		mopts.Incumbent = incumbent
 		mopts.IncumbentSet = true
@@ -703,15 +706,15 @@ func solveOne(params Params, bs *blockStats, S int, opts MIPOptions, incumbent f
 
 	res, err := milp.Solve(p, intVars, mopts)
 	if err != nil {
-		return nil, 0, false, err
+		return candidate{}, err
 	}
+	c := candidate{nodes: res.Nodes, pivots: res.Pivots, proven: res.Proven}
 	if res.Status != lp.Optimal {
-		// Limits hit with no MILP incumbent: fall back to the balanced
-		// heuristic so the sweep still has a candidate for this S.
-		if balanced != nil {
-			return balanced, res.Nodes, false, nil
-		}
-		return nil, res.Nodes, false, nil
+		// No MILP incumbent (limits hit, or nothing beat the seed): fall
+		// back to the balanced heuristic so the sweep still has a
+		// candidate for this S.
+		c.part = balanced
+		return c, nil
 	}
 
 	sizes := make([]int, S)
@@ -720,9 +723,21 @@ func solveOne(params Params, bs *blockStats, S int, opts MIPOptions, incumbent f
 	}
 	sizes[0]++   // embedding layer
 	sizes[S-1]++ // head layer
-	part, err = FromBoundaries(params.Profile, sizes, AlgoMIP)
-	if err != nil {
-		return nil, res.Nodes, false, err
+	if c.part, err = FromBoundaries(params.Profile, sizes, AlgoMIP); err != nil {
+		return candidate{}, err
 	}
-	return part, res.Nodes, true, nil
+	c.optimal = true
+	return c, nil
+}
+
+// candidate is one stage count's solve: its partition (nil when S is
+// infeasible), effort, whether the MILP itself produced the partition
+// (false means the balanced fallback — possibly nil — stands in, which
+// the caller may retry with a looser incumbent), and whether the search
+// ran to exhaustion, certifying the partition within the MIP gap (a
+// balanced fallback is certified when nothing beat its seed).
+type candidate struct {
+	part            *Partition
+	nodes, pivots   int
+	optimal, proven bool
 }

@@ -10,11 +10,11 @@ import (
 	"mobius/internal/profile"
 )
 
-func testParams(t *testing.T, cfg model.Config, gpus int) Params {
-	t.Helper()
+func testParams(tb testing.TB, cfg model.Config, gpus int) Params {
+	tb.Helper()
 	prof, err := profile.Run(cfg, hw.RTX3090Ti, profile.Options{})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return Params{
 		Profile:   prof,

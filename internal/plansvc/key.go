@@ -113,7 +113,7 @@ func NewRequest(opts core.Options) (*Request, error) {
 	w.str(norm.MappingScheme)
 
 	w.str("mip")
-	w.ints(norm.MIP.MaxStages, norm.MIP.Patience, norm.MIP.NodeLimit, int(norm.MIP.TimeLimit))
+	w.ints(norm.MIP.MaxStages, norm.MIP.Patience, norm.MIP.NodeLimit)
 
 	w.str("profile")
 	w.ints(norm.ProfileOptions.Repeats)
